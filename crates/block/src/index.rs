@@ -35,9 +35,13 @@
 //!   full remaining suffix weight cannot beat the worst of them, no unseen
 //!   record can enter the top-k and the walk stops.
 //!
-//! Admitted records are re-scored **exactly**, by merging their gram set
-//! (CSR transpose, ascending ids) with the probe — the same ascending-id
-//! floating-point summation order as the exhaustive scan — and every pruning
+//! Admitted records are re-scored **exactly** by a branch-free gather-sum:
+//! the probe's idf weights are written once per probe into a dense
+//! gram-indexed table, and a record's score is the sum of that table over
+//! its gram set (CSR transpose, ascending ids).  Grams outside the probe add
+//! `+0.0`, which leaves a sum of positive idf weights unchanged, so the
+//! additions that matter happen in the same ascending-id order as the
+//! exhaustive scan's and the scores are bit-identical.  Every pruning
 //! comparison is strict with a `1 + 1e-9` relative inflation on the bound
 //! side, so float rounding in the bound arithmetic can only weaken pruning,
 //! never change the result.  The exhaustive scan is retained as
@@ -173,7 +177,7 @@ pub struct GramIndex {
     /// Gram-set size per reference record.
     lengths: Vec<u32>,
     /// CSR transpose: `rec_grams[rec_offsets[l]..rec_offsets[l + 1]]` is the
-    /// gram set of record `l`, ascending — the merge side of exact
+    /// gram set of record `l`, ascending — the gather side of exact
     /// re-scoring.
     rec_offsets: Vec<u32>,
     rec_grams: Vec<u32>,
@@ -248,8 +252,9 @@ impl ProbeStats {
 /// Per-worker probe scratch: dense score accumulator, epoch-stamped touched
 /// tracking, the bounded top-k heap and its drain buffer, plus the
 /// filter-path buffers (rank-ordered probe grams, weight prefix sums, seed
-/// list, admission stamps).  One instance serves every probe a worker
-/// processes; nothing inside is reallocated between probes once warmed up.
+/// list, admission stamps, the dense probe-weight table).  One instance
+/// serves every probe a worker processes; nothing inside is reallocated
+/// between probes once warmed up.
 pub struct ProbeScratch {
     scores: Vec<f64>,
     /// `epoch[l] == cur` marks `scores[l]` as live for the current probe;
@@ -268,6 +273,11 @@ pub struct ProbeScratch {
     /// Warm-up seeds: records picked from the prefix walk for eager exact
     /// scoring.
     seeds: Vec<u32>,
+    /// Dense probe weights by gram id: `probe_w[g]` is `idf[g]` while a
+    /// filtered probe containing `g` runs and `0.0` otherwise.  Grown lazily
+    /// to the probed index's gram count, so one scratch serves indexes over
+    /// vocabularies of any size.
+    probe_w: Vec<f64>,
     heap: BinaryHeap<HeapEntry>,
     drain: Vec<HeapEntry>,
     stats: ProbeStats,
@@ -286,6 +296,7 @@ impl ProbeScratch {
             ord: Vec::new(),
             psum: Vec::new(),
             seeds: Vec::new(),
+            probe_w: Vec::new(),
             heap: BinaryHeap::new(),
             drain: Vec::new(),
             stats: ProbeStats::default(),
@@ -609,30 +620,42 @@ impl GramIndex {
         &self.prefix_postings[self.prefix_offsets[g] as usize..self.prefix_offsets[g + 1] as usize]
     }
 
-    /// Exact blocking score of reference record `li` against `probe`
-    /// (sorted, deduplicated gram ids): merge the record's ascending gram
-    /// set with the probe and sum idf at the matches.  The additions happen
-    /// in ascending gram-id order — the *same* float summation sequence the
-    /// dense unfiltered scan produces for this record — so filtered and
-    /// unfiltered scores are bit-identical.
-    #[inline]
-    fn exact_score(&self, li: u32, probe: &[u32]) -> f64 {
-        let l = li as usize;
-        let grams = &self.rec_grams[self.rec_offsets[l] as usize..self.rec_offsets[l + 1] as usize];
-        let mut score = 0.0f64;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < grams.len() && j < probe.len() {
-            match grams[i].cmp(&probe[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    score += self.idf[grams[i] as usize];
-                    i += 1;
-                    j += 1;
-                }
+    /// Write the idf weight of every known probe gram into `probe_w`,
+    /// growing it to [`Self::num_grams`] first.  `probe_w` must be all-zero
+    /// on entry; [`Self::clear_probe_weights`] restores that afterwards.
+    fn load_probe_weights(&self, probe: &[u32], probe_w: &mut Vec<f64>) {
+        if probe_w.len() < self.idf.len() {
+            probe_w.resize(self.idf.len(), 0.0);
+        }
+        for &g in probe {
+            if let Some(&w) = self.idf.get(g as usize) {
+                probe_w[g as usize] = w;
             }
         }
-        score
+    }
+
+    /// Zero the slots [`Self::load_probe_weights`] set for `probe`.
+    fn clear_probe_weights(probe: &[u32], probe_w: &mut [f64]) {
+        for &g in probe {
+            if let Some(w) = probe_w.get_mut(g as usize) {
+                *w = 0.0;
+            }
+        }
+    }
+
+    /// Exact blocking score of reference record `li` against the probe
+    /// loaded into `probe_w`: the gather-sum of the probe weights over the
+    /// record's ascending gram set.  The non-zero terms are the idf weights
+    /// of the shared grams in ascending gram-id order — the *same* float
+    /// summation sequence the dense unfiltered scan produces for this record
+    /// — and every other term is `+0.0`, which leaves a non-negative sum
+    /// unchanged, so filtered and unfiltered scores are bit-identical.
+    #[inline]
+    fn exact_score(&self, li: u32, probe_w: &[f64]) -> f64 {
+        let l = li as usize;
+        self.rec_grams[self.rec_offsets[l] as usize..self.rec_offsets[l + 1] as usize]
+            .iter()
+            .fold(0.0, |score, &g| score + probe_w[g as usize])
     }
 
     /// Admit record `li`: mark it, score it exactly, offer it to the bounded
@@ -642,7 +665,6 @@ impl GramIndex {
     fn admit(
         &self,
         li: u32,
-        probe: &[u32],
         k: usize,
         scratch: &mut ProbeScratch,
         trace: &mut Option<&mut Vec<u32>>,
@@ -653,7 +675,7 @@ impl GramIndex {
             t.push(li);
         }
         let entry = HeapEntry {
-            score: self.exact_score(li, probe),
+            score: self.exact_score(li, &scratch.probe_w),
             left: li,
         };
         if scratch.heap.len() < k {
@@ -721,10 +743,12 @@ impl GramIndex {
             return Vec::new();
         }
 
-        // Rank-order the known probe grams (rarest first) and prefix-sum
-        // their weights; grams with empty postings contribute nothing and
-        // would only loosen the suffix bounds, so they are dropped exactly
-        // like out-of-vocabulary ids.
+        // Load the probe weights for the exact re-scores (cleared again
+        // before the function returns), then rank-order the known probe
+        // grams (rarest first) and prefix-sum their weights; grams with empty
+        // postings contribute nothing and would only loosen the suffix
+        // bounds, so they are dropped exactly like out-of-vocabulary ids.
+        self.load_probe_weights(probe, &mut scratch.probe_w);
         scratch.ord.clear();
         let mut df_total = 0u64;
         for &g in probe {
@@ -795,7 +819,7 @@ impl GramIndex {
         scratch.heap.clear();
         let seeds = std::mem::take(&mut scratch.seeds);
         for &li in &seeds {
-            self.admit(li, probe, k, scratch, trace);
+            self.admit(li, k, scratch, trace);
         }
         scratch.seeds = seeds;
 
@@ -838,10 +862,11 @@ impl GramIndex {
                         continue;
                     }
                 }
-                self.admit(li, probe, k, scratch, trace);
+                self.admit(li, k, scratch, trace);
             }
         }
 
+        Self::clear_probe_weights(probe, &mut scratch.probe_w);
         self.drain_top_k(scratch)
     }
 
@@ -1005,15 +1030,17 @@ impl Blocker {
     }
 
     /// Reference-table size at which an enabled blocker actually engages
-    /// the filtered probe.  The filters are exact at any size, but they
-    /// trade the dense walk's predictable adds for per-admission exact
-    /// re-scores, which only pays off once the postings volume dwarfs the
-    /// admitted set: measured on the smoke tasks, the filtered probe is
-    /// 2.4× *slower* at 10k×10k (block 3.7 s → 8.8 s, ~12.6 % of postings
-    /// scanned but 32 M re-scores) and 12× faster at 100k×100k (9.9 G of
-    /// 122.8 G postings scanned).  Below this bound the dense walk wins and
-    /// the blocker takes it; candidate lists are byte-identical either way
-    /// (property-pinned), so the switch can never change results.
+    /// the filtered probe.  The filters are exact at any size, and with the
+    /// gather-sum re-score they no longer lose to the dense walk at 10k:
+    /// on the 10 304 × 10 500 medium smoke task (host_parallelism 2, three
+    /// runs each) the filtered L–R + L–L probes take 1.9–2.2 s against the
+    /// dense walk's 2.8–3.2 s, with identical candidates; at 33 120
+    /// reference rows they take 7.4 s.  The crossover stays at this value
+    /// because the end-to-end benchmark's `medium` workload is defined on
+    /// the dense path; retiring the dense walk (and this constant) is left
+    /// to a change that redefines that workload.  Candidate lists are
+    /// byte-identical either way (property-pinned), so the switch can never
+    /// change results.
     pub const FILTER_MIN_LEFT: usize = 32_768;
 
     /// Whether a table of `left_len` reference records takes the filtered
@@ -1160,6 +1187,71 @@ impl Blocker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Executable spec of [`GramIndex::exact_score`]: merge record `li`'s
+    /// ascending gram set with the sorted probe and sum idf at the matches,
+    /// in ascending gram-id order.
+    fn merge_score(index: &GramIndex, li: u32, probe: &[u32]) -> f64 {
+        let l = li as usize;
+        let grams =
+            &index.rec_grams[index.rec_offsets[l] as usize..index.rec_offsets[l + 1] as usize];
+        let mut score = 0.0f64;
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < grams.len() && j < probe.len() {
+            match grams[i].cmp(&probe[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    score += index.idf[grams[i] as usize];
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        score
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The gather-sum re-score equals the merge spec bit for bit on
+        /// random gram sets — empty records and probe ids at or above
+        /// `num_grams` included — and clearing restores an all-zero table.
+        #[test]
+        fn gather_score_matches_merge_spec_bitwise(
+            num_grams in 1usize..40,
+            records in proptest::collection::vec(
+                proptest::collection::vec(0u32..48, 0..24),
+                1..12,
+            ),
+            probe in proptest::collection::vec(0u32..64, 0..32),
+        ) {
+            let sets: Vec<Vec<u32>> = records
+                .iter()
+                .map(|r| {
+                    let mut set: Vec<u32> = r.iter().map(|&g| g % num_grams as u32).collect();
+                    set.sort_unstable();
+                    set.dedup();
+                    set
+                })
+                .collect();
+            let mut probe = probe;
+            probe.sort_unstable();
+            probe.dedup();
+            let index = GramIndex::from_id_sets(&sets, num_grams);
+            let mut probe_w = Vec::new();
+            index.load_probe_weights(&probe, &mut probe_w);
+            for li in 0..sets.len() as u32 {
+                prop_assert_eq!(
+                    index.exact_score(li, &probe_w).to_bits(),
+                    merge_score(&index, li, &probe).to_bits()
+                );
+            }
+            GramIndex::clear_probe_weights(&probe, &mut probe_w);
+            prop_assert!(probe_w.iter().all(|&w| w.to_bits() == 0));
+        }
+    }
 
     fn teams() -> Vec<String> {
         (2000..2040)
@@ -1377,6 +1469,38 @@ mod tests {
                 assert!(cands.is_empty(), "probe {i} leaked candidates");
             } else {
                 assert!(cands.contains(&3));
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_reuse_across_indexes_matches_fresh_scratch() {
+        // One scratch alternates between two indexes whose vocabularies
+        // differ in size (the second shifts every gram id up): no probe
+        // weight may survive from one probe into the next.
+        let left = teams();
+        let (sets, _, num_grams) = id_sets(&left, &[]);
+        let shift = 13u32;
+        let shifted: Vec<Vec<u32>> = sets
+            .iter()
+            .rev()
+            .map(|s| s.iter().map(|&g| g + shift).collect())
+            .collect();
+        let narrow = GramIndex::from_id_sets(&sets, num_grams);
+        let wide = GramIndex::from_id_sets(&shifted, num_grams + shift as usize);
+        assert_eq!(narrow.num_left(), wide.num_left());
+        let mut shared = ProbeScratch::new(narrow.num_left());
+        for k in [1usize, 3, 8] {
+            for (i, (a, b)) in sets.iter().zip(&shifted).enumerate() {
+                for (index, probe) in [(&wide, a), (&narrow, b), (&narrow, a), (&wide, b)] {
+                    let exclude = Some(i as u32);
+                    let mut fresh = ProbeScratch::new(index.num_left());
+                    assert_eq!(
+                        index.top_k(probe, k, exclude, &mut shared),
+                        index.top_k(probe, k, exclude, &mut fresh),
+                        "k={k}, probe={i}"
+                    );
+                }
             }
         }
     }

@@ -242,8 +242,8 @@ impl DistanceOracle for SingleColumnOracle {
             let mut buf = vec![0.0f64; k];
             let buf = buf.as_mut_slice();
             for &l2 in candidates {
-                // Ball rows must stay exact (they are serialized by the
-                // snapshot store), so no bound here.
+                // No bound here: one ball row serves every candidate
+                // threshold θ, and each ball count at 2θ must stay exact.
                 g.eval_records_into(col, scratch, lrec, col.record(l2), None, buf);
                 for ((slot, &w), &d) in out.iter_mut().zip(wanted).zip(buf.iter()) {
                     if w {

@@ -80,15 +80,7 @@ pub fn join_single_column_with_artifacts(
         let _t = timing::scoped(Phase::Block);
         options.blocker().block_prepared(col, left.len())
     };
-    let bs = blocking.stats;
-    timing::record_blocking_stats(
-        bs.lr_pairs,
-        bs.ll_pairs,
-        bs.per_probe_max,
-        bs.scored_records,
-        bs.postings_scanned,
-        bs.postings_total,
-    );
+    timing::record_blocking_stats(&blocking.stats);
 
     // Line 2: learn negative rules from L–L pairs and apply them to L–R
     // pairs.  The rule word sets of Algorithm 2 (lower-case + stem + remove

@@ -23,6 +23,7 @@
 //! Callers that want a per-run breakdown (`bench_smoke`) call [`reset`]
 //! before the run and [`snapshot`] after.
 
+use autofj_block::BlockingStats;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -196,20 +197,13 @@ static BLOCKING_RECORDED: std::sync::atomic::AtomicBool = std::sync::atomic::Ato
 /// Record the candidate-set statistics of a blocking run.  Counters
 /// *accumulate* over calls (a pipeline blocks once, but multi-column joins
 /// may block per column); `per_probe_max` accumulates as a max.
-pub fn record_blocking_stats(
-    lr_pairs: u64,
-    ll_pairs: u64,
-    per_probe_max: u64,
-    scored_records: u64,
-    postings_scanned: u64,
-    postings_total: u64,
-) {
-    BLOCKING_STATS[0].fetch_add(lr_pairs, Ordering::Relaxed);
-    BLOCKING_STATS[1].fetch_add(ll_pairs, Ordering::Relaxed);
-    BLOCKING_STATS[2].fetch_max(per_probe_max, Ordering::Relaxed);
-    BLOCKING_STATS[3].fetch_add(scored_records, Ordering::Relaxed);
-    BLOCKING_STATS[4].fetch_add(postings_scanned, Ordering::Relaxed);
-    BLOCKING_STATS[5].fetch_add(postings_total, Ordering::Relaxed);
+pub fn record_blocking_stats(stats: &BlockingStats) {
+    BLOCKING_STATS[0].fetch_add(stats.lr_pairs, Ordering::Relaxed);
+    BLOCKING_STATS[1].fetch_add(stats.ll_pairs, Ordering::Relaxed);
+    BLOCKING_STATS[2].fetch_max(stats.per_probe_max, Ordering::Relaxed);
+    BLOCKING_STATS[3].fetch_add(stats.scored_records, Ordering::Relaxed);
+    BLOCKING_STATS[4].fetch_add(stats.postings_scanned, Ordering::Relaxed);
+    BLOCKING_STATS[5].fetch_add(stats.postings_total, Ordering::Relaxed);
     BLOCKING_RECORDED.store(true, Ordering::Relaxed);
 }
 
@@ -313,7 +307,14 @@ mod tests {
         // No reset here (global state, parallel tests): assert relative
         // effects only.
         let before = blocking_stats().unwrap_or_default();
-        record_blocking_stats(10, 5, 7, 40, 100, 400);
+        record_blocking_stats(&BlockingStats {
+            lr_pairs: 10,
+            ll_pairs: 5,
+            per_probe_max: 7,
+            scored_records: 40,
+            postings_scanned: 100,
+            postings_total: 400,
+        });
         let after = blocking_stats().expect("stats were recorded");
         assert!(after.lr_pairs >= before.lr_pairs + 10);
         assert!(after.ll_pairs >= before.ll_pairs + 5);

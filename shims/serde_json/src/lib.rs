@@ -5,7 +5,9 @@
 //! type that derives the shim's `Serialize`/`Deserialize`.  Floats are
 //! written with Rust's shortest-roundtrip formatting (`{:?}`), so `f64`
 //! values survive a text round-trip bit-exactly; non-finite floats render as
-//! `null` like real serde_json.
+//! `null` like real serde_json.  Parsing rejects input nested deeper than
+//! 128 arrays/objects with an [`Error`] (real serde_json's recursion limit),
+//! so a hostile line of `[[[[…` cannot overflow the stack.
 
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
@@ -144,9 +146,15 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting [`from_str`] accepts; deeper input is an
+/// error rather than unbounded recursion.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -154,6 +162,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -306,10 +315,33 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<Value> {
         match self.peek()? {
+            b'[' | b'{' => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::new(format!(
+                        "recursion limit exceeded at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let value = self.parse_container();
+                self.depth -= 1;
+                value
+            }
             b'n' => self.parse_literal("null", Value::Null),
             b't' => self.parse_literal("true", Value::Bool(true)),
             b'f' => self.parse_literal("false", Value::Bool(false)),
             b'"' => self.parse_string().map(Value::Str),
+            b'-' | b'0'..=b'9' => self.parse_number(),
+            other => Err(Error::new(format!(
+                "unexpected byte `{}` at {}",
+                other as char, self.pos
+            ))),
+        }
+    }
+
+    /// Parse the array or object starting at `pos` (which holds `[` or `{`).
+    fn parse_container(&mut self) -> Result<Value> {
+        match self.peek()? {
             b'[' => {
                 self.pos += 1;
                 let mut items = Vec::new();
@@ -362,11 +394,7 @@ impl<'a> Parser<'a> {
                     }
                 }
             }
-            b'-' | b'0'..=b'9' => self.parse_number(),
-            other => Err(Error::new(format!(
-                "unexpected byte `{}` at {}",
-                other as char, self.pos
-            ))),
+            other => unreachable!("parse_container called at `{}`", other as char),
         }
     }
 }
@@ -458,6 +486,23 @@ mod tests {
         }
         assert!(from_str::<Shape>("\"NoSuchVariant\"").is_err());
         assert!(from_str::<Shape>("{\"Tuple\":[1]}").is_err());
+    }
+
+    #[test]
+    fn nesting_beyond_the_limit_is_an_error_not_a_stack_overflow() {
+        let parse = |text: &str| Parser::new(text).parse_value();
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).is_err());
+        // A line far past the limit fails fast instead of aborting, through
+        // the public entry point too.
+        assert!(from_str::<Vec<u32>>(&"[".repeat(100_000)).is_err());
+        // Siblings do not accumulate depth.
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 4].join(","));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]

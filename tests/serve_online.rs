@@ -205,9 +205,10 @@ fn concurrent_clients_get_identical_answers() {
     });
 }
 
-/// A garbage request line yields an `Error` response and the connection
-/// stays usable; an appended-then-queried record answers exactly like the
-/// in-memory append path.
+/// A garbage request line, or one nested far beyond the JSON parser's depth
+/// limit, yields an `Error` response and the connection stays usable; an
+/// appended-then-queried record answers exactly like the in-memory append
+/// path.
 #[test]
 fn protocol_errors_do_not_poison_the_connection() {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -236,11 +237,15 @@ fn protocol_errors_do_not_poison_the_connection() {
         {
             use std::io::{BufRead, BufReader, Write};
             let mut stream = std::net::TcpStream::connect(addr).expect("connect raw");
-            stream.write_all(b"this is not json\n").expect("write");
             let mut reader = BufReader::new(stream.try_clone().expect("clone"));
             let mut line = String::new();
-            reader.read_line(&mut line).expect("read");
-            assert!(line.contains("Error"), "got: {line}");
+            let nested = "[".repeat(100_000) + "\n";
+            for bad in ["this is not json\n", nested.as_str()] {
+                stream.write_all(bad.as_bytes()).expect("write");
+                line.clear();
+                reader.read_line(&mut line).expect("read");
+                assert!(line.contains("Error"), "got: {line}");
+            }
             // Same connection still serves real requests.
             stream
                 .write_all(b"{\"Join\":{\"record\":\"2007 LSU Tigers football\"}}\n")
